@@ -18,9 +18,10 @@ the timestamp column, and "entries of center *u*'s CSR row below that
 id" is one probe of the row-composite key
 (:attr:`~repro.graph.columnar.ColumnarGraph.inc_row_key`).  Every
 δ-window bound used below is precomputed this way for *all* incidence
-positions at once — six vectorized ``searchsorted`` passes total,
-memoized per δ on the columnar store (HARE warms the memo before
-forking so every worker shares it copy-on-write instead of
+positions at once — the edge-id ranks once per edge (m sorted probes,
+gathered to the 2m positions), the row and group ranks as sorted
+probes — memoized per δ on the columnar store (HARE warms the memo
+before forking so every worker shares it copy-on-write instead of
 recomputing per batch).
 
 **FAST-Star has a closed form per anchor.**  Every star/pair motif
@@ -34,34 +35,47 @@ differences in the group-sorted ordering
 Summing those differences over the anchor pair's second element — a
 contiguous slot range — telescopes into differences of *prefix sums of
 prefix sums*, so the kernel never materialises edge pairs at all: it
-builds ~16 direction-split prefix arrays over the 2m incidence entries
-(also memoized per δ) and then evaluates every counter cell with O(1)
-arithmetic per anchor edge.  Total work is O(m log m), *below* the
-paper's O(d^δ · m) bound for FAST-Star.
+reads 16 direction-split prefix arrays over the 2m incidence slots
+and evaluates every counter cell with O(1) arithmetic per anchor edge.
+Twelve of those arrays do not depend on δ; they are built once per
+columnar store and kept across δ, so a δ sweep rebuilds only the
+window-dependent four.  The anchors are partitioned by their own
+direction once, so each counter cell is one plain sum.  Total work is
+O(m log m), *below* the paper's O(d^δ · m) bound for FAST-Star.
 
-**FAST-Tri classifies by edge id.**  The canonical tie-break rule
-makes "``e_k`` before ``e_i``" ⟺ ``eid_k < eid_i`` and "after ``e_j``"
-⟺ ``eid_k > eid_j``, so the Triangle I/II/III split of the pair
-timeline ``E(v, w)`` is three contiguous id ranges, located by rank
-probes into the pair CSR and split by direction with prefix sums.
-Open wedges (far pairs that never interact) are rejected early by a
-Bloom-filter gather before any binary search runs.
+**FAST-Tri counts each triangle once, from one corner.**  The
+canonical tie-break rule makes "``e_k`` after ``e_j``" ⟺
+``eid_k > eid_j``, so the pair timeline ``E(v, w)`` is cut by edge-id
+rank probes into the pair CSR and split by direction with prefix
+sums.  An instance ``e1 < e2 < e3`` is a Type-I, a Type-II and a
+Type-III observation from its three corners, but only the corner
+shared by ``e1`` and ``e2`` sees it as Type-III (``e_k = e3`` after
+both).  The kernel therefore counts Type-III observations only — two
+rank probes per closed wedge — and fills the Type-I and Type-II cells
+from them: per type the 8 cells biject with the 8 triangle motifs, so
+the three isomorphic cells of a motif hold equal counts
+(:data:`TRI_FILL`, derived from
+:func:`~repro.core.motifs.tri_cell_motif`).  Open wedges (far pairs
+that never interact) are rejected early by a Bloom-filter gather
+before any binary search runs.
 
-**Exact accumulation.**  Counter cells are scatter-added with pure
-int64 masked sums (never float64 ``bincount`` weights), so counts stay
-exact arbitrarily far beyond 2**53.
+**Exact accumulation.**  Counter cells are accumulated with pure
+int64 sums and ``np.add.at`` (never float64 ``bincount`` weights), so
+counts stay exact arbitrarily far beyond 2**53.
 
 Work decomposition
 ------------------
 
 Both kernels accept the scheduler's ``(node, i_lo, i_hi)`` tasks.
 Ownership of a triple is defined by its *anchor edge* — the earlier
-edge of the anchor pair for stars, the wedge's first edge for
-triangles — which every complete task cover visits exactly once, so
-merged task results equal the serial count exactly.  (The per-task
-*split* may differ from the Python kernels, whose ownership is always
-the triple's first edge; only the union is contracted — see
-:func:`repro.core.fast_star.count_star_pair_tasks`.)
+edge of the anchor pair for stars, the instance's first edge (at the
+corner it shares with the second) for triangles — which every complete
+task cover visits exactly once, so merged task results equal the
+serial count exactly.  Every partial triangle counter is
+corner-symmetric (its three isomorphic cells agree).  The per-task
+*split* may differ from the Python kernels, whose ownership is each
+corner's first edge; only the union is contracted — see
+:func:`repro.core.fast_star.count_star_pair_tasks`.
 
 Peak memory is O(m) for the star kernel and bounded by
 ``chunk_pairs`` expanded wedges (default 2**22 ≈ 4M) for the triangle
@@ -74,6 +88,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.motifs import tri_cell_motif
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.temporal_graph import TemporalGraph
 
@@ -127,8 +142,9 @@ def _expand_pairs(
     if total == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     A = np.repeat(anchor, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    B = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + A + gap
+    # other = anchor + gap + (rank of the pair inside its anchor's run)
+    B = np.repeat(anchor + gap - (np.cumsum(counts) - counts), counts)
+    B += np.arange(total, dtype=np.int64)
     return A, B
 
 
@@ -150,6 +166,19 @@ def _chunks(counts: np.ndarray, chunk_pairs: int) -> Iterable[Tuple[int, int]]:
         start = stop
 
 
+#: ``delta_cache`` key of the δ-free star tables; it survives δ changes.
+_STAR_STATIC = ("star-static",)
+
+
+def _retain_delta(col: ColumnarGraph, delta: float) -> None:
+    """Drop every memo of another δ, keeping the δ-free star tables."""
+    d = float(delta)
+    cache = col.delta_cache
+    for key in list(cache):  # a snapshot: other threads may share the store
+        if key != _STAR_STATIC and key[1] != d:
+            cache.pop(key, None)
+
+
 def _window_bounds(
     col: ColumnarGraph, delta: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +193,10 @@ def _window_bounds(
     * ``ws[p]`` / ``we[p]`` — the same bounds as absolute positions
       inside ``p``'s own CSR row (row-composite probes).
 
-    Memoized per δ on ``col.delta_cache`` (single entry — sweeps
+    The edge-id ranks are searched once per *edge* (m sorted needles)
+    and gathered to the 2m positions through ``inc_eid``; the row
+    probes are sorted needles too (a row's positions are eid-ordered).
+    Memoized per δ on ``col.delta_cache`` (single δ resident — sweeps
     revisit deltas rarely, HARE batches revisit the same δ often).
     """
     key = ("bounds", float(delta))
@@ -172,79 +204,107 @@ def _window_bounds(
     if cached is not None:
         return cached
     t = col.t
-    time_col = col.inc_time
-    lo_eid = np.searchsorted(t, time_col - delta, side="left")
-    hi_eid = np.searchsorted(t, time_col + delta, side="right")
+    lo_eid = np.searchsorted(t, t - delta, side="left")[col.inc_eid]
+    hi_eid = edge_window_ends(col, delta)[col.inc_eid]
     row_base = col.inc_row * np.int64(col.num_edges + 1)
     ws = np.searchsorted(col.inc_row_key, row_base + lo_eid)
     we = np.searchsorted(col.inc_row_key, row_base + hi_eid)
-    col.delta_cache.clear()
-    col.delta_cache[key] = (lo_eid, hi_eid, ws, we)
-    return col.delta_cache[key]
+    _retain_delta(col, delta)
+    bounds = col.delta_cache[key] = (lo_eid, hi_eid, ws, we)
+    return bounds
 
 
 def _dir_prefixes(values: np.ndarray, is_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Direction-split exclusive prefix sums of a per-slot array."""
-    zero = np.int64(0)
-    out = np.concatenate(([zero], np.cumsum(np.where(is_in, 0, values))))
-    into = np.concatenate(([zero], np.cumsum(np.where(is_in, values, 0))))
+    """Direction-split exclusive prefix sums ``(OUT, IN)`` of a per-slot array.
+
+    ``is_in`` is the 0/1 direction of each slot.
+    """
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    into = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    np.cumsum(values * is_in, out=into[1:])
+    out -= into
     return out, into
+
+
+def _star_static(col: ColumnarGraph):
+    """δ-free tables of the star closed form, memoized once per store.
+
+    Returns ``(is_in, prefixes)``: the 0/1 direction of each group
+    slot and the six base terms' direction-split prefix pairs that do
+    not depend on δ.  Kept under a δ-free key that
+    :func:`_retain_delta` spares, so a δ sweep builds them once.
+    """
+    cached = col.delta_cache.get(_STAR_STATIC)
+    if cached is not None:
+        return cached
+    L = 2 * col.num_edges
+    slot_ids = np.arange(L, dtype=np.int64)
+    # Per-slot base terms (slot s holds position p_s = order[s]):
+    # "outside-group" rank excesses — global minus in-group quantities.
+    pos_s = col.grp_order
+    cum_in = col.inc_cum_in
+    gcum_in = col.grp_cum_in
+    is_in = col.inc_dir[pos_s]
+    cin = cum_in[pos_s] - gcum_in[:-1]       # IN before p_s, other nbrs
+    gin = cum_in[pos_s + 1] - gcum_in[1:]    # ... up to and incl. p_s
+    prefixes = {
+        "one": _dir_prefixes(np.ones(L, dtype=np.int64), is_in),
+        "slot": _dir_prefixes(slot_ids, is_in),
+        "cin": _dir_prefixes(cin, is_in),
+        "gin": _dir_prefixes(gin, is_in),
+        "osub": _dir_prefixes(pos_s - slot_ids, is_in),
+        "ggin": _dir_prefixes(gcum_in[:-1], is_in),
+    }
+    static = col.delta_cache[_STAR_STATIC] = (is_in, prefixes)
+    return static
 
 
 def _star_precompute(col: ColumnarGraph, delta: float):
     """δ-dependent, task-independent tables of the star closed form.
 
-    Returns ``(gws, gwe, prefixes)`` where ``prefixes`` maps base-term
-    name → its direction-split prefix pair.  Memoized alongside the
-    window bounds so HARE batches (and repeated serial calls at one δ)
-    pay the O(m log m) setup once.
+    Returns ``(gws, gwe, prefixes)``: for each group *slot*, the slots
+    where its position's δ-window starts and ends inside its group, and
+    the base-term name → direction-split prefix pair map (the six δ-free
+    pairs of :func:`_star_static` plus ``win``/``wsub``).  Memoized
+    alongside the window bounds so HARE batches (and repeated serial
+    calls at one δ) pay the O(m log m) setup once.
     """
     key = ("star", float(delta))
     cached = col.delta_cache.get(key)
     if cached is not None:
         return cached
     _, _, ws, we = _window_bounds(col, delta)
-    L = 2 * col.num_edges
-    slot_ids = np.arange(L, dtype=np.int64)
-    gkey_base = col.grp_id * np.int64(L + 1)
-    gws = np.searchsorted(col.grp_rank_key, gkey_base + ws)
-    gwe = np.searchsorted(col.grp_rank_key, gkey_base + we)
-
-    # Per-slot base terms (slot s holds position p_s = order[s]):
-    # "outside-group" rank excesses — global minus in-group quantities.
+    is_in, static = _star_static(col)
     pos_s = col.grp_order
-    cum_in = col.inc_cum_in
-    gcum_in = col.grp_cum_in
-    is_in = col.inc_dir[pos_s] == 1
-    cin = cum_in[pos_s] - gcum_in[slot_ids]          # IN before p_s, other nbrs
-    gin = cum_in[pos_s + 1] - gcum_in[slot_ids + 1]  # ... up to and incl. p_s
-    win = cum_in[ws[pos_s]] - gcum_in[gws[pos_s]]    # ... before p_s's window
-    prefixes = {
-        "one": _dir_prefixes(np.ones(L, dtype=np.int64), is_in),
-        "slot": _dir_prefixes(slot_ids, is_in),
-        "cin": _dir_prefixes(cin, is_in),
-        "gin": _dir_prefixes(gin, is_in),
-        "win": _dir_prefixes(win, is_in),
-        "osub": _dir_prefixes(pos_s - slot_ids, is_in),
-        "wsub": _dir_prefixes(ws[pos_s] - gws[pos_s], is_in),
-        "ggin": _dir_prefixes(gcum_in[slot_ids], is_in),
-    }
-    col.delta_cache[key] = (gws, gwe, prefixes)
-    return col.delta_cache[key]
+    # Each slot's group key, grp_id * (2m + 1).  A group's slots hold
+    # its positions in ascending order, so these probes are sorted.
+    grp_base = col.grp_rank_key - pos_s
+    ws_s = ws[pos_s]
+    gws = np.searchsorted(col.grp_rank_key, grp_base + ws_s)
+    gwe = np.searchsorted(col.grp_rank_key, grp_base + we[pos_s])
+    win = col.inc_cum_in[ws_s] - col.grp_cum_in[gws]  # IN before the window
+    prefixes = dict(
+        static,
+        win=_dir_prefixes(win, is_in),
+        wsub=_dir_prefixes(ws_s - gws, is_in),
+    )
+    tables = col.delta_cache[key] = (gws, gwe, prefixes)
+    return tables
 
 
 def edge_window_ends(col: ColumnarGraph, delta: float) -> np.ndarray:
     """Per-*edge* forward δ-window end ranks: first id with ``t > t_e + δ``.
 
     The edge-indexed sibling of :func:`_window_bounds` (which is
-    incidence-position-indexed): an edge's forward δ-window is exactly
-    the id range ``(e, edge_window_ends(col, δ)[e])``.  This is the
+    incidence-position-indexed, and gathers its ``hi_eid`` from this
+    table): an edge's forward δ-window is exactly the id range
+    ``(e, edge_window_ends(col, δ)[e])``.  This is also the
     candidate-cap primitive of the sampling kernels
     (:mod:`repro.core.sampling_kernels`), which only ever look
-    *forward* from an anchor — so no backward-bound array is computed
-    or shipped.  Memoized per δ alongside the other kernel tables;
-    exported/installed through the same shared-memory bundle so pool
-    workers share one copy.
+    *forward* from an anchor.  Memoized per δ alongside the other
+    kernel tables; exported/installed through the same shared-memory
+    bundle so pool workers share one copy.
     """
     key = ("ewin", float(delta))
     cached = col.delta_cache.get(key)
@@ -318,11 +378,11 @@ def install_delta_cache(
     """Install exported per-δ tables into ``col.delta_cache``.
 
     The inverse of :func:`export_delta_cache`: after this call the
-    kernels hit the memo instead of recomputing.  Replaces whatever δ
-    was resident (the cache is single-entry per kind, matching
-    :func:`_window_bounds`).
+    kernels hit the memo instead of recomputing.  Replaces whatever
+    other δ was resident (the cache is single-entry per kind, matching
+    :func:`_window_bounds`); the δ-free star tables stay.
     """
-    col.delta_cache.clear()
+    _retain_delta(col, delta)
     if "bounds.lo_eid" in arrays:
         col.delta_cache[("bounds", float(delta))] = (
             arrays["bounds.lo_eid"],
@@ -377,70 +437,96 @@ def count_star_pair_columnar(
 
     # -- per-anchor closed form ----------------------------------------
     # The anchor edge (position A, slot s1) pairs with every later
-    # same-group edge in its δ-window: slots s2 in (s1, gwe[A]).  All
+    # same-group edge in its δ-window: slots s2 in (s1, gwe[s1]).  All
     # four motif roles sum a per-s2 affine term over that slot range,
     # evaluated below as prefix-sum differences, split by d2 = dir(s2).
-    A = anchors
-    s1 = col.grp_inv[A]
-    d1 = col.inc_dir[A]
-    lo = s1 + 1
-    hi = gwe[A]
-    cin1 = cum_in[A] - gcum_in[s1]
-    osub1 = A - s1
-    ggin1 = gcum_in[s1] + d1
-    we_A = we[A]
-    const3_in = cum_in[we_A] - gcum_in[hi]     # Star-III: IN lasts in window
-    const3_any = we_A - hi                     # ... any-direction counterpart
+    # The anchor's direction d1 fixes the counter cell, so partitioning
+    # the anchors by d1 once makes every cell add one plain sum.  Taking
+    # the anchors in slot order makes the prefix-table gathers walk
+    # forward through memory; the sums do not depend on the order.
+    slots = np.sort(col.grp_inv[anchors])
+    anchors = col.grp_order[slots]
+    d1_all = col.inc_dir[anchors]
+    for d1 in (0, 1):
+        sel = d1_all == d1
+        A = anchors[sel]
+        if len(A) == 0:
+            continue
+        s1 = slots[sel]
+        lo = s1 + 1
+        hi = gwe[s1]
+        cin1 = cum_in[A] - gcum_in[s1]
+        osub1 = A - s1
+        ggin1 = gcum_in[s1] + d1
+        we_A = we[A]
+        const3_in = cum_in[we_A] - gcum_in[hi]     # Star-III: IN lasts in window
+        const3_any = we_A - hi                     # ... any-direction counterpart
 
-    d1_masks = (d1 == 0, d1 == 1)
+        for d2 in (0, 1):
+            def span(name: str) -> np.ndarray:
+                prefix = P[name][d2]
+                return prefix[hi] - prefix[lo]
 
-    def scatter(acc: np.ndarray, cell_d1: Tuple[int, int], weight: np.ndarray) -> None:
-        # Exact int64 scatter-add: the cell is determined by the
-        # anchor's direction, so two masked integer sums per term.
-        acc[cell_d1[0]] += int(weight[d1_masks[0]].sum())
-        acc[cell_d1[1]] += int(weight[d1_masks[1]].sum())
+            N = span("one")
+            S_slot = span("slot")
+            S_cin = span("cin")
+            S_gin = span("gin")
+            S_win = span("win")
+            S_osub = span("osub")
+            S_wsub = span("wsub")
+            S_ggin = span("ggin")
 
-    for d2 in (0, 1):
-        def span(name: str) -> np.ndarray:
-            prefix = P[name][d2]
-            return prefix[hi] - prefix[lo]
+            # Pair motifs: anchor = (1st, 3rd) edge, middles in-group.
+            w_in = S_ggin - N * ggin1
+            w_out = (S_slot - N * lo) - w_in
+            pair_acc[d1 * 4 + 2 + d2] += int(w_in.sum())   # d1*4 + IN*2 + d2
+            pair_acc[d1 * 4 + d2] += int(w_out.sum())
 
-        N = span("one")
-        S_slot = span("slot")
-        S_cin = span("cin")
-        S_gin = span("gin")
-        S_win = span("win")
-        S_osub = span("osub")
-        S_wsub = span("wsub")
-        S_ggin = span("ggin")
+            # Star-II: anchor = (1st, 3rd) edge, middles on other nbrs.
+            w_in = S_cin - N * cin1
+            w_out = (S_osub - S_cin) - N * (osub1 - cin1)
+            star_acc[8 + d1 * 4 + 2 + d2] += int(w_in.sum())
+            star_acc[8 + d1 * 4 + d2] += int(w_out.sum())
 
-        # Pair motifs: anchor = (1st, 3rd) edge, middles in-group.
-        w_in = S_ggin - N * ggin1
-        w_out = (S_slot - N * (s1 + 1)) - w_in
-        scatter(pair_acc, (2 + d2, 6 + d2), w_in)       # d1*4 + IN*2 + d2
-        scatter(pair_acc, (d2, 4 + d2), w_out)
+            # Star-I: anchor = (2nd, 3rd) edge, firsts on other nbrs in
+            # [window start of the 3rd edge, anchor).
+            w_in = N * cin1 - S_win
+            w_out = N * (osub1 - cin1) - (S_wsub - S_win)
+            star_acc[4 + d1 * 2 + d2] += int(w_in.sum())   # dI*4 + d1*2 + d2
+            star_acc[d1 * 2 + d2] += int(w_out.sum())
 
-        # Star-II: anchor = (1st, 3rd) edge, middles on other nbrs.
-        w_in = S_cin - N * cin1
-        w_out = (S_osub - S_cin) - N * (osub1 - cin1)
-        scatter(star_acc, (10 + d2, 14 + d2), w_in)     # 8 + d1*4 + 2 + d2
-        scatter(star_acc, (8 + d2, 12 + d2), w_out)
-
-        # Star-I: anchor = (2nd, 3rd) edge, firsts on other nbrs in
-        # [window start of the 3rd edge, anchor).
-        w_in = N * cin1 - S_win
-        w_out = N * (osub1 - cin1) - (S_wsub - S_win)
-        scatter(star_acc, (4 + d2, 6 + d2), w_in)       # dI*4 + d1*2 + d2
-        scatter(star_acc, (d2, 2 + d2), w_out)
-
-        # Star-III: anchor = (1st, 2nd) edge, lasts on other nbrs in
-        # (2nd edge, window end of the anchor].
-        w_in = N * const3_in - S_gin
-        w_out = N * (const3_any - const3_in) - (S_osub - S_gin)
-        scatter(star_acc, (17 + d2 * 2, 21 + d2 * 2), w_in)  # 16+d1*4+d2*2+1
-        scatter(star_acc, (16 + d2 * 2, 20 + d2 * 2), w_out)
+            # Star-III: anchor = (1st, 2nd) edge, lasts on other nbrs in
+            # (2nd edge, window end of the anchor].
+            w_in = N * const3_in - S_gin
+            w_out = N * (const3_any - const3_in) - (S_osub - S_gin)
+            star_acc[16 + d1 * 4 + d2 * 2 + 1] += int(w_in.sum())
+            star_acc[16 + d1 * 4 + d2 * 2] += int(w_out.sum())
 
     return star_acc, pair_acc
+
+
+def _tri_fill_table() -> np.ndarray:
+    """Type-III cell that each of the 24 triangle cells copies.
+
+    Every triangle instance ``e1 < e2 < e3`` has exactly one Type-III
+    observation: at the corner shared by ``e1`` and ``e2``, with the far
+    edge ``e3`` after them.  Per type, the 8 cells biject with the 8
+    triangle motifs (Fig. 8), so the Type-I and Type-II cells of a
+    motif hold the same count as its Type-III cell.
+    """
+    cells = [(di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)]
+    type3 = {
+        tri_cell_motif(2, *cell).name: index for index, cell in enumerate(cells)
+    }
+    table = [type3[tri_cell_motif(t, *cell).name] for t in (0, 1, 2) for cell in cells]
+    if len(type3) != 8 or any(len(set(table[8 * t:8 * t + 8])) != 8 for t in (0, 1, 2)):
+        raise AssertionError("triangle cells do not biject with the triangle motifs")
+    return np.array(table, dtype=np.int64)
+
+
+#: Flat triangle cell -> index of its Type-III cell (see
+#: :func:`_tri_fill_table`).
+TRI_FILL = _tri_fill_table()
 
 
 def count_triangle_columnar(
@@ -453,16 +539,19 @@ def count_triangle_columnar(
 
     Produces the dependency-free (``multiplicity=3``) counts, identical
     to :func:`repro.core.fast_tri.count_triangle` over any complete
-    task cover.  The sequential center-removal mode has no vectorized
-    form (it is inherently order-dependent); callers wanting it use the
-    Python backend.
+    task cover.  Each instance is found once, from the corner of its
+    first two edges (the Type-III observation); the Type-I and
+    Type-II cells are filled from it (:data:`TRI_FILL`), so every
+    partial counter is corner-symmetric.  The sequential center-removal
+    mode has no vectorized form (it is inherently order-dependent);
+    callers wanting it use the Python backend.
     """
     col = graph.columnar()
-    tri_acc = np.zeros(24, dtype=np.int64)
+    tri3 = np.zeros(8, dtype=np.int64)
 
     anchors = _task_positions(col, tasks)
     if len(anchors) == 0 or len(col.pair_keys) == 0:
-        return tri_acc
+        return np.zeros(24, dtype=np.int64)
 
     n = col.num_nodes
     nbr = col.inc_nbr
@@ -473,7 +562,7 @@ def count_triangle_columnar(
     pair_cum_in = col.pair_cum_in
     m_plus = np.int64(col.num_edges + 1)
 
-    lo_eid, hi_eid, _, we = _window_bounds(col, delta)
+    _, hi_eid, _, we = _window_bounds(col, delta)
     counts = np.maximum(we[anchors] - (anchors + 1), 0)
 
     for a, b in _chunks(counts, chunk_pairs):
@@ -483,54 +572,38 @@ def count_triangle_columnar(
         # A wedge needs distinct far endpoints whose pair exists at
         # all; the Bloom gather rejects the bulk of open wedges before
         # any binary search runs.
-        key = np.minimum(vi, vj) * np.int64(n) + np.maximum(vi, vj)
-        keep = (vi != vj) & col.pair_bloom[col.bloom_hash(key)]
-        if not keep.any():
+        key = np.minimum(vi, vj)
+        key *= np.int64(n)
+        key += np.maximum(vi, vj)
+        closed = col.pair_bloom[col.bloom_hash(key)]
+        closed &= vi != vj
+        keep = np.flatnonzero(closed)
+        if len(keep) == 0:
             continue
-        pos_i = pos_i[keep]
-        pos_j = pos_j[keep]
-        vi = vi[keep]
-        vj = vj[keep]
         key = key[keep]
         slot = np.searchsorted(pair_keys, key)
-        valid = slot < len(pair_keys)
-        valid &= pair_keys[np.minimum(slot, len(pair_keys) - 1)] == key
-        if not valid.any():
+        found = pair_keys[np.minimum(slot, len(pair_keys) - 1)] == key
+        keep = keep[found]
+        if len(keep) == 0:
             continue
-        pos_i = pos_i[valid]
-        pos_j = pos_j[valid]
-        vi = vi[valid]
-        vj = vj[valid]
-        slot = slot[valid]
+        slot = slot[found]
+        pos_i = pos_i[keep]
+        pos_j = pos_j[keep]
 
-        # Timeline bounds as edge-id ranks: t_k >= t_j - δ (the
-        # Triangle-I constraint) and t_k <= t_i + δ (the Triangle-III
-        # constraint), both inclusive, exactly as in the Python loop.
+        # Type-III timeline span as edge-id ranks: e_k after e_j and
+        # t_k <= t_i + δ (inclusive), exactly as in the Python loop.
         base_slot = slot * m_plus
-        idx_lo = np.searchsorted(pair_rank, base_slot + lo_eid[pos_j])
-        idx_hi = np.searchsorted(pair_rank, base_slot + hi_eid[pos_i])
-        split_i = np.searchsorted(pair_rank, base_slot + eid[pos_i])
-        split_j = np.searchsorted(pair_rank, base_slot + eid[pos_j] + 1)
-
-        cell_base = dirs[pos_i] * 4 + dirs[pos_j] * 2
-        base_masks = [(value, cell_base == value) for value in (0, 2, 4, 6)]
+        lo = np.searchsorted(pair_rank, base_slot + eid[pos_j] + 1)
+        hi = np.searchsorted(pair_rank, base_slot + hi_eid[pos_i])
+        span = hi - lo
+        n_in = pair_cum_in[hi] - pair_cum_in[lo]
         # dk is the third edge's direction relative to vi; pair dirs
         # are normalised to the smaller endpoint, so flip when vi is
         # the larger one (the Fig. 7 convention).
-        flip = vi > vj
+        n_dk1 = np.where(vi[keep] > vj[keep], span - n_in, n_in)
+        # Exact int64 scatter-add into the (di, dj, dk) cells.
+        cell = dirs[pos_i] * 4 + dirs[pos_j] * 2
+        np.add.at(tri3, cell, span - n_dk1)
+        np.add.at(tri3, cell + 1, n_dk1)
 
-        for lo, hi, offset in (
-            (idx_lo, split_i, 0),  # e_k before e_i  → Triangle-I
-            (split_i, split_j, 8),  # e_k between     → Triangle-II
-            (split_j, idx_hi, 16),  # e_k after e_j   → Triangle-III
-        ):
-            span = hi - lo
-            n_in = pair_cum_in[hi] - pair_cum_in[lo]
-            n_dk1 = np.where(flip, span - n_in, n_in)
-            n_dk0 = span - n_dk1
-            # Exact int64 scatter-add over the four (di, dj) cells.
-            for value, mask in base_masks:
-                tri_acc[offset + value + 1] += int(n_dk1[mask].sum())
-                tri_acc[offset + value] += int(n_dk0[mask].sum())
-
-    return tri_acc
+    return tri3[TRI_FILL]

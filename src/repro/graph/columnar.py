@@ -48,8 +48,49 @@ from typing import TYPE_CHECKING, Mapping, Tuple
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.temporal_graph import TemporalGraph
+
+
+#: Largest value of an int64 composite key.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_key_ranges(num_nodes: int, num_edges: int, groups: int, pairs: int) -> None:
+    """Refuse graph sizes whose int64 composite keys would overflow.
+
+    :class:`ColumnarGraph` packs two ranks into one int64 key in four
+    places.  Every key, and every probe the kernels build against it,
+    stays below the product of its two ranges:
+
+    * the pair key ``min * n + max`` (and the group key
+      ``center * n + nbr``): below ``n²``;
+    * ``inc_row_key = center * (m + 1) + eid``: below ``n · (m + 1)``;
+    * ``grp_rank_key = group * (2m + 1) + position``: below
+      ``groups · (2m + 1)`` — the binding one, at about 1.5·10⁹
+      edges when most incidences form their own group;
+    * ``pair_rank_key = slot * (m + 1) + eid``: below ``pairs · (m + 1)``.
+
+    Pure integer arithmetic on the sizes, so it is checkable without
+    building anything.  Raises :class:`~repro.errors.ValidationError`
+    naming the first key that would not fit.
+    """
+    n = max(num_nodes, 1)
+    bounds = (
+        ("pair key min*n+max", n * n),
+        ("inc_row_key", n * (num_edges + 1)),
+        ("grp_rank_key", groups * (2 * num_edges + 1)),
+        ("pair_rank_key", pairs * (num_edges + 1)),
+    )
+    for name, bound in bounds:
+        if bound - 1 > _INT64_MAX:
+            raise ValidationError(
+                f"graph too large for the columnar backend: {name} reaches "
+                f"{bound - 1} > int64 max ({num_nodes} nodes, {num_edges} edges, "
+                f"{groups} groups, {pairs} pairs)"
+            )
 
 
 class ColumnarGraph:
@@ -170,9 +211,10 @@ class ColumnarGraph:
         self.grp_cum_in = np.concatenate(
             ([0], np.cumsum(self.inc_dir[self.grp_order], dtype=np.int64))
         )
-        #: δ-keyed memo for kernel precomputations (window bounds, star
-        #: prefix arrays); single-entry per kind, warmed before forking
-        #: parallel workers so children share it copy-on-write.
+        #: Memo for kernel precomputations (window bounds, star prefix
+        #: arrays): one δ resident at a time, plus the δ-free star tables
+        #: under a key of their own; warmed before forking parallel
+        #: workers so children share it copy-on-write.
         self.delta_cache: dict = {}
 
         # -- pair CSR -----------------------------------------------------
@@ -199,6 +241,11 @@ class ColumnarGraph:
             self.pair_indptr = np.zeros(1, dtype=np.int64)
         self.pair_cum_in = np.concatenate(
             ([0], np.cumsum(self.pair_dir, dtype=np.int64))
+        )
+        # The composite keys may have wrapped on an oversized graph;
+        # refuse it before any of them is used or returned.
+        check_key_ranges(
+            n, m, int(dense_sorted[-1]) + 1 if total else 0, len(self.pair_keys)
         )
         # Composite rank key for the triangle kernel: pair-slot identity
         # scaled past the eid range plus the entry's canonical edge id.

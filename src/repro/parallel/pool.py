@@ -1086,6 +1086,58 @@ def close_all_pools() -> None:
 #: signum -> pid that installed the wrapper (idempotence per process).
 _INSTALLED_SIGNALS: Dict[int, int] = {}
 
+#: signum -> the disposition the wrapper chains to (restored in children).
+_PREVIOUS_HANDLERS: Dict[int, object] = {}
+
+#: Forking thread id -> the handled signals its fork hook blocked.
+_FORK_BLOCKED: Dict[int, frozenset] = {}
+_FORK_GUARD_REGISTERED = False
+
+
+def _register_fork_guard() -> None:
+    """Give forked children the pre-install dispositions, race-free.
+
+    In a child the wrapper would only chain to the previous disposition,
+    but as a Python-level handler it can lose the signal: CPython drops
+    signals caught between ``fork()`` and its after-fork reset, and one
+    that lands just before a blocking call (a worker waiting on its
+    task queue lock) waits for that call to return.  Either way a child
+    that ``multiprocessing.Pool.terminate`` SIGTERMs during routine
+    teardown could ignore it, and the parent would wait forever to join
+    it.  So the handled signals stay blocked across the fork, the child
+    reinstates the previous dispositions (usually ``SIG_DFL``, which the
+    kernel acts on directly), and only then unblocks them.
+    """
+    global _FORK_GUARD_REGISTERED
+    import signal as signal_module
+
+    if (_FORK_GUARD_REGISTERED or not hasattr(os, "register_at_fork")
+            or not hasattr(signal_module, "pthread_sigmask")):
+        return
+
+    def block() -> None:
+        handled = set(_INSTALLED_SIGNALS)
+        already = signal_module.pthread_sigmask(signal_module.SIG_BLOCK, handled)
+        _FORK_BLOCKED[threading.get_ident()] = frozenset(handled - set(already))
+
+    def unblock() -> None:
+        blocked = _FORK_BLOCKED.pop(threading.get_ident(), frozenset())
+        if blocked:
+            signal_module.pthread_sigmask(signal_module.SIG_UNBLOCK, blocked)
+
+    def restore_and_unblock() -> None:
+        for signum, previous in _PREVIOUS_HANDLERS.items():
+            try:
+                signal_module.signal(signum, previous)
+            except (TypeError, ValueError):  # pragma: no cover - set outside Python
+                pass
+        unblock()
+
+    os.register_at_fork(
+        before=block, after_in_parent=unblock, after_in_child=restore_and_unblock
+    )
+    _FORK_GUARD_REGISTERED = True
+
 
 def install_signal_handlers(signals: Optional[Tuple[int, ...]] = None) -> None:
     """Shut every pool down cleanly when SIGTERM/SIGINT arrives.
@@ -1108,7 +1160,9 @@ def install_signal_handlers(signals: Optional[Tuple[int, ...]] = None) -> None:
     ``close_all_pools`` there would push stop sentinels onto the
     *shared* task queues and unlink the parent's live ``/dev/shm``
     segments, killing every sibling pool from the outside.  In a
-    non-installing process the handler only chains.
+    non-installing process the handler would only chain, so forked
+    children get the previous dispositions back outright
+    (:func:`_register_fork_guard`), which no timing can make them miss.
 
     Idempotent per signal per process; only the main thread may call
     it (a :mod:`signal` restriction).
@@ -1134,3 +1188,5 @@ def install_signal_handlers(signals: Optional[Tuple[int, ...]] = None) -> None:
 
         signal_module.signal(signum, _handler)
         _INSTALLED_SIGNALS[signum] = owner_pid
+        _PREVIOUS_HANDLERS[signum] = previous
+    _register_fork_guard()

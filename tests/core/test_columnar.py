@@ -9,17 +9,27 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.api import count_motifs
 from repro.core.columnar_kernels import (
+    _STAR_STATIC,
+    TRI_FILL,
     count_star_pair_columnar,
     count_triangle_columnar,
+    export_delta_cache,
+    install_delta_cache,
 )
+from repro.core.counters import TriangleCounter
 from repro.core.fast_star import count_star_pair, count_star_pair_tasks
 from repro.core.fast_tri import count_triangle, count_triangle_tasks
+from repro.core.motifs import tri_cell_motif
 from repro.core.registry import CountRequest, execute, get_algorithm
 from repro.errors import ValidationError
+from repro.graph.columnar import ColumnarGraph
 from repro.graph.generators import (
     powerlaw_temporal_graph,
     triangle_rich_graph,
@@ -27,7 +37,7 @@ from repro.graph.generators import (
 )
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.scheduler import build_batches
-from tests.conftest import random_graph
+from tests.conftest import random_edges, random_graph
 
 #: Every registered algorithm (the seven built-ins).
 ALL_ALGORITHMS = ("fast", "ex", "bruteforce", "bt", "twoscent", "bts", "ews")
@@ -113,6 +123,126 @@ class TestKernelEquivalence:
         tri_big = count_triangle_columnar(g, 6)
         tri_small = count_triangle_columnar(g, 6, chunk_pairs=3)
         assert list(tri_big) == list(tri_small)
+
+
+def random_cover(graph: TemporalGraph, rng: random.Random):
+    """A random complete task cover, dealt into random worker groups.
+
+    Every center's row is cut at random ``i_lo``/``i_hi`` points (the
+    last piece ends at ``None`` or at the row size), and the pieces are
+    shuffled into one to four groups, so a group holds a random subset
+    of nodes and of row ranges.
+    """
+    tasks = []
+    for node in range(graph.num_nodes):
+        size = len(graph.node_sequence(node).times)
+        cuts = sorted(rng.sample(range(1, size), rng.randint(0, max(size - 1, 0))))
+        bounds = [0] + cuts + [rng.choice([None, size])]
+        tasks.extend((node, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    rng.shuffle(tasks)
+    groups = rng.randint(1, 4)
+    return [tasks[g::groups] for g in range(groups)]
+
+
+class TestPartialCounters:
+    """HARE contract for the columnar kernels, on random task covers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        delta=st.integers(min_value=0, max_value=15),
+    )
+    def test_partials_symmetric_and_union_exact(self, seed, delta):
+        rng = random.Random(seed)
+        g = TemporalGraph(
+            random_edges(rng, rng.randint(2, 8), rng.randint(0, 30), t_max=18)
+        )
+        star = np.zeros(24, dtype=np.int64)
+        pair = np.zeros(8, dtype=np.int64)
+        tri = np.zeros(24, dtype=np.int64)
+        for group in random_cover(g, rng):
+            part = count_triangle_columnar(g, delta, group, chunk_pairs=rng.randint(1, 64))
+            assert TriangleCounter(part.tolist()).check_corner_symmetry()
+            tri += part
+            s, p = count_star_pair_columnar(g, delta, group)
+            star += s
+            pair += p
+        star_py, pair_py = count_star_pair(g, delta)
+        assert star.tolist() == star_py.data
+        assert pair.tolist() == pair_py.data
+        assert tri.tolist() == count_triangle(g, delta).data
+
+    def test_fill_table_maps_isomorphic_cells(self):
+        """Each cell copies the Type-III cell of the same motif."""
+        cells = [(di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)]
+        flat = [(t,) + cell for t in (0, 1, 2) for cell in cells]
+        for index, cell in enumerate(flat):
+            source = (2,) + cells[TRI_FILL[index]]
+            assert tri_cell_motif(*cell) == tri_cell_motif(*source)
+        for t in (0, 1, 2):
+            assert sorted(TRI_FILL[8 * t:8 * t + 8]) == list(range(8))
+
+
+def attached_twin(graph: TemporalGraph) -> TemporalGraph:
+    """A graph over a ``ColumnarGraph._attach``-ed copy of the store,
+    the way a pool worker or a packed file reassembles it."""
+    col = graph.columnar()
+    arrays, scalars = {}, {}
+    for name in ColumnarGraph.__slots__:
+        if name == "delta_cache":
+            continue
+        value = getattr(col, name)
+        (arrays if isinstance(value, np.ndarray) else scalars)[name] = value
+    twin = TemporalGraph.from_canonical_arrays(
+        graph.sources, graph.destinations, graph.timestamps,
+        num_nodes=graph.num_nodes,
+    )
+    twin._columnar = ColumnarGraph._attach(arrays, scalars)
+    twin._columnar_version = twin.version
+    return twin
+
+
+class TestDeltaMemo:
+    """Lifecycle of the δ-free star tables kept across δ."""
+
+    def test_static_tables_shared_across_deltas(self):
+        g = random_graph(3, num_nodes=7, num_edges=40)
+        col = g.columnar()
+        count_star_pair_columnar(g, 4)
+        static = col.delta_cache[_STAR_STATIC]
+        count_star_pair_columnar(g, 9)
+        assert col.delta_cache[_STAR_STATIC] is static
+        # One δ stays resident; its tables reuse the δ-free arrays.
+        assert ("star", 4.0) not in col.delta_cache
+        prefixes = col.delta_cache[("star", 9.0)][2]
+        for name, arrays in static[1].items():
+            assert prefixes[name] is arrays
+
+    def test_rebuilt_after_mutation(self):
+        g = random_graph(4, num_nodes=6, num_edges=30)
+        count_star_pair_columnar(g, 5)
+        static = g.columnar().delta_cache[_STAR_STATIC]
+        g._t *= 2  # in place, order kept
+        g.invalidate_caches()
+        star, pair = count_star_pair_columnar(g, 5)
+        assert g.columnar().delta_cache[_STAR_STATIC] is not static
+        star_py, pair_py = count_star_pair(g, 5)
+        assert star.tolist() == star_py.data
+        assert pair.tolist() == pair_py.data
+
+    def test_attached_copy_counts_installed_and_fresh_delta(self):
+        g = random_graph(5, num_nodes=7, num_edges=45)
+        twin = attached_twin(g)
+        install_delta_cache(twin.columnar(), 6, export_delta_cache(g.columnar(), 6))
+        assert _STAR_STATIC not in twin.columnar().delta_cache
+        for delta in (6, 11):  # installed, then never installed
+            star, pair = count_star_pair_columnar(twin, delta)
+            star_py, pair_py = count_star_pair(g, delta)
+            assert star.tolist() == star_py.data
+            assert pair.tolist() == pair_py.data
+            tri = count_triangle_columnar(twin, delta)
+            assert tri.tolist() == count_triangle(g, delta).data
+        assert _STAR_STATIC in twin.columnar().delta_cache
 
 
 class TestBackendAcrossAlgorithms:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
+from repro.graph import columnar as columnar_module
+from repro.graph.columnar import check_key_ranges
 from repro.graph.temporal_graph import TemporalGraph
 from tests.conftest import random_graph
 
@@ -95,3 +98,49 @@ class TestCanonicalInvariants:
         for slot in range(len(col.pair_keys)):
             lo, hi = col.pair_indptr[slot], col.pair_indptr[slot + 1]
             assert (np.diff(col.pair_eid[lo:hi]) > 0).all()
+
+
+class TestKeyRanges:
+    """The int64 guard on composite keys, at synthetic sizes (nothing
+    of that size is allocated)."""
+
+    def test_paper_scale_fits(self):
+        # 10⁹ edges, every incidence its own group, every edge its own pair.
+        check_key_ranges(10**8, 10**9, 2 * 10**9, 10**9)
+
+    @pytest.mark.parametrize(
+        "sizes, key",
+        [
+            ((10**6, 1_600_000_000, 3_200_000_000, 10**6), "grp_rank_key"),
+            ((10**6, 4 * 10**9, 10**6, 3 * 10**9), "pair_rank_key"),
+            ((4 * 10**9, 10**9, 10**6, 10**6), "pair key"),
+            ((3_100_000_000, 2 * 10**9, 10**6, 10**6), "pair key"),
+        ],
+    )
+    def test_overflow_raises_typed_error(self, sizes, key):
+        with pytest.raises(ValidationError, match=key):
+            check_key_ranges(*sizes)
+
+    def test_inc_row_key_bound(self):
+        # n² fits but n·(m+1) does not.
+        with pytest.raises(ValidationError, match="inc_row_key"):
+            check_key_ranges(2 * 10**9, 5 * 10**9, 10**6, 10**6)
+
+    def test_exact_boundary(self):
+        # The largest group count whose keys stay within int64.
+        limit = 2**63
+        m = 1
+        groups = limit // (2 * m + 1)
+        check_key_ranges(1, m, groups, 1)
+        with pytest.raises(ValidationError):
+            check_key_ranges(1, m, groups + 1, 1)
+
+    def test_construction_checks_sizes(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            columnar_module, "check_key_ranges", lambda *sizes: seen.append(sizes)
+        )
+        g = TemporalGraph([(0, 1, 1), (1, 0, 2), (1, 2, 3)])
+        g.columnar()
+        # 3 nodes, 3 edges, groups (0,1) (1,0) (1,2) (2,1), pairs {0,1} {1,2}
+        assert seen == [(3, 3, 4, 2)]

@@ -148,6 +148,52 @@ def test_signal_handlers_survive_forked_helper_teardown():
     assert "OK" in proc.stdout
 
 
+_FORK_DISPOSITION_SCRIPT = """
+import os, signal
+from repro.parallel.pool import install_signal_handlers
+
+install_signal_handlers()
+handled = {signal.SIGTERM, signal.SIGINT}
+assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    ok = (
+        signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        and signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        and not handled & signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    )
+    os.write(write_end, b"1" if ok else b"0")
+    os._exit(0)
+os.waitpid(pid, 0)
+assert not handled & signal.pthread_sigmask(signal.SIG_BLOCK, [])
+print("CHILD", os.read(read_end, 1).decode(), flush=True)
+"""
+
+
+def test_forked_children_get_previous_signal_dispositions():
+    """A forked child runs under the dispositions from before the install.
+
+    There the wrapper would only chain to them anyway, and a Python-level
+    handler can miss a SIGTERM that ``Pool.terminate`` sends a child
+    still starting up or about to block, leaving the parent waiting to
+    join it forever.  The handled signals must also end up unblocked in
+    both processes.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_DISPOSITION_SCRIPT],
+        capture_output=True,
+        env=env,
+        cwd=REPO_ROOT,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "CHILD 1" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # idle-worker timeout (satellite 1)
 # ---------------------------------------------------------------------------
